@@ -9,10 +9,14 @@ into one request of size up to 128 KB, the maximum prefetching window
 size in Linux, to simulate the prefetch effects", and the small think
 times inside a burst are not counted.
 
-The extractor is used twice: offline, to turn a recorded trace into an
-:class:`~repro.core.profile.ExecutionProfile`; and online, inside
-:class:`~repro.core.flexfetch.FlexFetchPolicy`, to build the current
-run's partial profile as requests stream past (§2.3.1).
+The extractor turns a recorded trace into an
+:class:`~repro.core.profile.ExecutionProfile`.  At runtime
+:class:`~repro.core.flexfetch.FlexFetchPolicy` needs less from the run
+in progress: its demand byte count, which positions it in the recorded
+profile (the §2.3.1 splice reduces to that position, see
+:mod:`repro.core.profile`), and the moments an observed burst closes,
+which trigger a re-evaluation.  :class:`OnlineBurstTracker` detects
+exactly those, in O(1) per call, without building bursts.
 """
 
 from __future__ import annotations
@@ -157,60 +161,32 @@ def extract_bursts(records: Iterable[SyscallRecord], *,
 
 
 class OnlineBurstTracker:
-    """Streaming burst extraction for the current run (§2.3.1).
+    """Streaming burst-boundary detection for the current run (§2.3.1).
 
-    Feed each observed request with :meth:`observe`; completed bursts
-    accumulate in :attr:`bursts` / :attr:`thinks` with the same semantics
-    as :func:`extract_bursts`.  Call :meth:`flush` at end of run to close
-    the trailing burst.
+    Feed each observed data-moving call with :meth:`observe`.  It
+    reports whether the call opened a new burst (closing the previous
+    one) on the same boundaries as :func:`extract_bursts`, and
+    :attr:`total_bytes` counts the bytes observed so far — the sum of
+    the bytes of every burst :func:`extract_bursts` would have built.
     """
+
+    __slots__ = ("threshold", "total_bytes", "_prev_end")
 
     def __init__(self, *, threshold: float = BURST_THRESHOLD_DEFAULT) -> None:
         if threshold <= 0:
             raise ValueError("burst threshold must be positive")
         self.threshold = threshold
-        self.bursts: list[IOBurst] = []
-        self.thinks: list[float] = []
-        self._acc: _BurstAccumulator | None = None
-        self._prev_end = 0.0
         self.total_bytes = 0
+        self._prev_end = 0.0
 
-    def observe(self, inode: int, offset: int, size: int, op: OpType,
-                start: float, end: float) -> IOBurst | None:
-        """Record one serviced request; returns a burst if one closed."""
+    def observe(self, size: int, start: float, end: float) -> bool:
+        """Record one serviced call; True if it closed a burst."""
         if size <= 0:
-            return None
-        rec = SyscallRecord(pid=0, fd=0, inode=inode, offset=offset,
-                            size=size, op=op, timestamp=start,
-                            duration=max(0.0, end - start))
-        closed: IOBurst | None = None
-        if self._acc is None:
-            self._acc = _BurstAccumulator(rec)
-        else:
-            gap = rec.timestamp - self._prev_end
-            if gap >= self.threshold:
-                closed = self._acc.finish()
-                self.bursts.append(closed)
-                self.thinks.append(max(0.0, gap))
-                self._acc = _BurstAccumulator(rec)
-            else:
-                self._acc.add(rec)
-        self._prev_end = max(self._prev_end, rec.end_time)
+            return False
+        closed = (self.total_bytes > 0
+                  and start - self._prev_end >= self.threshold)
+        # The same float steps as ``SyscallRecord.end_time`` with a
+        # clamped duration, so every comparison matches the extractor.
+        self._prev_end = max(self._prev_end, start + max(0.0, end - start))
         self.total_bytes += size
         return closed
-
-    def flush(self) -> None:
-        """Close the trailing burst (end of run)."""
-        if self._acc is not None:
-            self.bursts.append(self._acc.finish())
-            self.thinks.append(0.0)
-            self._acc = None
-
-    def snapshot(self) -> tuple[list[IOBurst], list[float]]:
-        """Completed bursts so far plus the in-progress one, if any."""
-        bursts = list(self.bursts)
-        thinks = list(self.thinks)
-        if self._acc is not None:
-            bursts.append(self._acc.finish())
-            thinks.append(0.0)
-        return bursts, thinks

@@ -86,6 +86,8 @@ class FlexFetchPolicy(Policy):
         self.profile_trusted = True
         self.audit_override: DataSource | None = None
         self._stage: StageAccounting | None = None
+        #: only the stage audit reads a stage's observed requests.
+        self._records_stage = self.config.feature("stage_audit")
         self._external_times: deque[float] = deque(maxlen=8)
         # diagnostics
         self.decision_log: list[tuple[float, DataSource, str]] = []
@@ -99,29 +101,23 @@ class FlexFetchPolicy(Policy):
         self._last_reevaluation = float("-inf")
 
     # ------------------------------------------------------------------
-    # profile positioning
-    # ------------------------------------------------------------------
-    def _assembled_profile(self) -> ExecutionProfile:
-        """Old profile with the observed prefix spliced in (§2.3.1)."""
-        bursts, thinks = self.tracker.snapshot()
-        if not bursts or not self.config.feature("splice_reevaluation"):
-            return self.profile
-        return self.profile.spliced(bursts, thinks)
-
-    # ------------------------------------------------------------------
     # decision machinery
     # ------------------------------------------------------------------
     def _decide_from_profile(self, now: Seconds, *, reason: str
                              ) -> DataSource:
         """Run the §2.2 rules on the upcoming profile slice.
 
+        The slice starts at the demand byte count observed so far: the
+        §2.3.1 assembled profile (observed bursts replacing the old ones
+        they cover) yields exactly this slice, so it is never built (see
+        :mod:`repro.core.profile`).
+
         A switch away from the current source must clear the configured
         hysteresis margin in estimated energy; near-break-even stages
         keep the incumbent to avoid paying transition costs for noise.
         """
         assert self.env is not None
-        profile = self._assembled_profile()
-        bursts, thinks = profile.upcoming_slice(
+        bursts, thinks = self.profile.upcoming_slice(
             self.tracker.total_bytes,
             self.config.stage_length * self.config.decision_horizon_stages)
         if not bursts:
@@ -170,9 +166,6 @@ class FlexFetchPolicy(Policy):
     def begin_run(self, now: Seconds) -> None:
         source = self._decide_from_profile(now, reason="initial")
         self._begin_stage(now, source)
-
-    def end_run(self, now: Seconds) -> None:
-        self.tracker.flush()
 
     # ------------------------------------------------------------------
     # stage audit (§2.3.1 second half)
@@ -244,26 +237,25 @@ class FlexFetchPolicy(Policy):
     def on_serviced(self, ctx: RequestContext, source: DataSource,
                     result: Any) -> None:
         """Device-level observation: feeds the stage audit's replay."""
-        if not ctx.profiled:
+        if not ctx.profiled or not self._records_stage \
+                or self._stage is None:
             return
         start = float(getattr(result, "arrival", ctx.now))
         end = float(getattr(result, "completion", ctx.now))
         req = ProfiledRequest(inode=ctx.inode, offset=ctx.offset,
                               size=max(1, ctx.nbytes), op=ctx.op)
-        if self._stage is not None:
-            self._stage.observe(req, start, end)
+        self._stage.observe(req, start, end)
 
     def on_syscall(self, ctx: RequestContext, start: float,
                    end: float) -> None:
-        """Demand-level observation: profile building and positioning.
+        """Demand-level observation: profile position, burst boundaries.
 
         Tracking system calls (not device transfers) keeps the byte
         position aligned with the old profile, which also counts
         syscall bytes — readahead overshoot and cache absorption would
         otherwise drift the position off the profile's burst grid.
         """
-        closed = self.tracker.observe(ctx.inode, ctx.offset, ctx.nbytes,
-                                      ctx.op, start, end)
+        closed = self.tracker.observe(ctx.nbytes, start, end)
         # §2.3.1: re-evaluate "whenever the amount just exceeds the
         # amount of data requested in the first N I/O bursts" of the old
         # profile — i.e. on crossing an old-profile burst boundary — and
@@ -274,7 +266,7 @@ class FlexFetchPolicy(Policy):
         self._boundary_seen = max(self._boundary_seen, boundary)
         due = end - self._last_reevaluation \
             >= self.config.reevaluation_min_interval
-        if (closed is not None or crossed) and due \
+        if (closed or crossed) and due \
                 and self.config.feature("splice_reevaluation") \
                 and self.profile_trusted:
             self._last_reevaluation = end

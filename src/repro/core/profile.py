@@ -7,10 +7,18 @@ I/O bursts, including think times between them, whose length just
 exceeds a pre-determined threshold, say 40 seconds" — so the decision
 can be re-examined at stage granularity.
 
-The profile also supports the §2.3.1 *splice*: replacing its first N
-bursts with the bursts observed in the current run once the observed
-byte count passes them, producing the assembled profile on which the
-decision rule is re-run.
+The §2.3.1 *splice* — "whenever the amount just exceeds the amount of
+data requested in the first N I/O bursts, we use the new profile for
+this run to replace the N I/O bursts in the old profile" — is realised
+as byte positioning: the decision rule is re-run on
+``upcoming_slice(observed_bytes, horizon)`` of the recorded profile.
+That is the slice the assembled profile would yield.  With
+``N = burst_index_for_bytes(observed_bytes)``, every observed burst's
+cumulative byte count is at most ``observed_bytes``, so in the assembled
+profile (observed bursts, then old bursts ``N..``) that byte count lands
+on old burst ``N`` — where the recorded profile's own slice starts — and
+both slices walk the same old bursts and thinks from there.  An
+observation past the whole profile leaves both slices empty.
 """
 
 from __future__ import annotations
@@ -165,30 +173,6 @@ class ExecutionProfile:
         return bursts, thinks
 
     # ------------------------------------------------------------------
-    def spliced(self, observed_bursts: Sequence[IOBurst],
-                observed_thinks: Sequence[float]) -> ExecutionProfile:
-        """The §2.3.1 assembled profile.
-
-        The observed (current-run) bursts replace the first N old bursts,
-        where N is chosen so the replaced bursts cover at least the
-        observed byte count: "whenever the amount just exceeds the amount
-        of data requested in the first N I/O bursts, we use the new
-        profile for this run to replace the N I/O bursts in the old
-        profile".
-        """
-        if len(observed_bursts) != len(observed_thinks):
-            raise ValueError("observed bursts and thinks must align")
-        observed_bytes = sum(b.nbytes for b in observed_bursts)
-        n = self.burst_index_for_bytes(observed_bytes)
-        bursts = list(observed_bursts) + list(self.bursts[n:])
-        thinks = list(observed_thinks) + list(self.thinks[n:])
-        if thinks and list(observed_thinks):
-            # The think after the last observed burst bridges into the
-            # old tail; keep the observed value (it is the live one).
-            pass
-        return ExecutionProfile(bursts, thinks,
-                                name=f"{self.name}+observed")
-
     def merged_with(self, other: ExecutionProfile) -> ExecutionProfile:
         """Aggregate profile of concurrently running programs (§2.3.4).
 

@@ -46,6 +46,7 @@ On top of the fan-out the executor layers the resilience story:
 from __future__ import annotations
 
 import cProfile
+import itertools
 import math
 import os
 import pstats
@@ -221,14 +222,20 @@ class SweepJob:
 #: When set, every executed cell dumps a cProfile capture into it.
 _PROFILE_DIR: str | None = None
 
+#: Per-process dump counter: the same cell can run live twice in one
+#: process (two panels sharing a link point with the cache off).
+_DUMP_SEQ = itertools.count()
+
 
 def enable_profiling(directory: str | os.PathLike[str] | None) -> None:
     """Arm (or with None, disarm) per-cell profiling.
 
     Must be called in the sweep parent *before* the pool spawns: forked
     workers inherit the armed value, and each cell they execute dumps
-    ``cell-<index>-<pid>.prof`` into ``directory``.  The parent merges
-    the dumps afterwards with :func:`merged_profile_stats`.
+    ``cell-<run key>-<pid>-<seq>.prof`` into ``directory``.  Sweep
+    indices restart with every figure panel, so they cannot name a
+    dump.  The parent merges the dumps afterwards with
+    :func:`merged_profile_stats`.
     """
     global _PROFILE_DIR
     _PROFILE_DIR = None if directory is None else os.fspath(directory)
@@ -278,8 +285,11 @@ def _execute_job(job: SweepJob) -> SweepPoint:
                          sanitize=job.sanitize)
     finally:
         profiler.disable()
+        key = run_key(specs, job.policy_factory, job.wnic_spec,
+                      job.config, faults=job.faults)
         profiler.dump_stats(os.path.join(
-            _PROFILE_DIR, f"cell-{job.index}-{os.getpid()}.prof"))
+            _PROFILE_DIR,
+            f"cell-{key}-{os.getpid()}-{next(_DUMP_SEQ)}.prof"))
 
 
 @dataclass(frozen=True, slots=True)

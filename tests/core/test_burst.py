@@ -118,46 +118,85 @@ class TestIOBurstValidation:
             ProfiledRequest(inode=1, offset=0, size=0, op=OpType.READ)
 
 
+def tracker_signals(records, threshold=BURST_THRESHOLD_DEFAULT):
+    """Feed ``records`` to a fresh tracker: (tracker, closed signals)."""
+    tracker = OnlineBurstTracker(threshold=threshold)
+    closed = [tracker.observe(r.size, r.timestamp, r.end_time)
+              for r in records]
+    return tracker, closed
+
+
+def assert_matches_extractor(records, threshold=BURST_THRESHOLD_DEFAULT):
+    """After every prefix, the tracker's closed-burst count and byte
+    total equal what :func:`extract_bursts` builds from that prefix."""
+    tracker, closed = tracker_signals(records, threshold)
+    for k in range(len(records) + 1):
+        bursts, _ = extract_bursts(records[:k], threshold=threshold)
+        assert sum(closed[:k]) == max(0, len(bursts) - 1)
+    bursts, _ = extract_bursts(records, threshold=threshold)
+    assert tracker.total_bytes == sum(b.nbytes for b in bursts)
+
+
 class TestOnlineTracker:
     def test_matches_offline_extraction(self):
         records = [rec(1, 0, 10, 0.0), rec(1, 10, 10, 0.005),
                    rec(2, 0, 50, 3.0), rec(2, 50, 50, 3.001),
                    rec(1, 100, 10, 9.0)]
-        offline_bursts, offline_thinks = extract_bursts(records)
-        tracker = OnlineBurstTracker()
-        for r in records:
-            tracker.observe(r.inode, r.offset, r.size, r.op,
-                            r.timestamp, r.end_time)
-        tracker.flush()
-        assert len(tracker.bursts) == len(offline_bursts)
-        for a, b in zip(tracker.bursts, offline_bursts, strict=True):
-            assert a.requests == b.requests
-        assert tracker.thinks == pytest.approx(offline_thinks)
+        assert_matches_extractor(records)
+        _, closed = tracker_signals(records)
+        assert closed == [False, False, True, False, True]
+
+    def test_gap_measured_from_latest_call_end(self):
+        # The long first call ends at 1.0, after the second one (0.5):
+        # the third call's gap is measured from 1.0, as offline.
+        records = [rec(1, 0, 10, 0.0, dur=1.0), rec(1, 10, 10, 0.1, dur=0.4),
+                   rec(1, 20, 10, 1.01)]
+        assert_matches_extractor(records)
+        _, closed = tracker_signals(records)
+        assert closed == [False, False, False]
 
     def test_observe_returns_closed_burst(self):
         tracker = OnlineBurstTracker()
-        assert tracker.observe(1, 0, 10, OpType.READ, 0.0, 0.0) is None
-        closed = tracker.observe(1, 10, 10, OpType.READ, 5.0, 5.0)
-        assert closed is not None
-        assert closed.nbytes == 10
+        assert tracker.observe(10, 100.0, 100.0) is False  # first call
+        assert tracker.observe(10, 200.0, 200.0) is True
 
-    def test_snapshot_includes_open_burst(self):
+    def test_open_burst_bytes_count_before_it_closes(self):
+        # The position FlexFetch slices at includes the burst still in
+        # progress, as the assembled profile's observed prefix did.
         tracker = OnlineBurstTracker()
-        tracker.observe(1, 0, 10, OpType.READ, 0.0, 0.0)
-        bursts, thinks = tracker.snapshot()
-        assert len(bursts) == 1
-        assert len(tracker.bursts) == 0      # snapshot does not mutate
+        assert tracker.observe(10, 0.0, 0.0) is False
+        assert tracker.observe(5, 0.001, 0.002) is False
+        assert tracker.total_bytes == 15
 
     def test_total_bytes(self):
         tracker = OnlineBurstTracker()
-        tracker.observe(1, 0, 10, OpType.READ, 0.0, 0.0)
-        tracker.observe(1, 10, 30, OpType.READ, 5.0, 5.0)
+        tracker.observe(10, 0.0, 0.0)
+        tracker.observe(30, 5.0, 5.0)
         assert tracker.total_bytes == 40
 
     def test_zero_size_ignored(self):
         tracker = OnlineBurstTracker()
-        assert tracker.observe(1, 0, 0, OpType.READ, 0.0, 0.0) is None
+        assert tracker.observe(0, 0.0, 0.0) is False
+        assert tracker.observe(0, 5.0, 5.0) is False
         assert tracker.total_bytes == 0
+
+    def test_invalid_threshold_rejected(self):
+        with pytest.raises(ValueError):
+            OnlineBurstTracker(threshold=0.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 5000),
+                              st.floats(0, 0.05, allow_nan=False),
+                              st.floats(0, 0.05, allow_nan=False)),
+                    max_size=40),
+           st.sampled_from([0.005, BURST_THRESHOLD_DEFAULT, 0.04]))
+    def test_property_matches_extractor(self, raw, threshold):
+        ts = 0.0
+        records = []
+        for size, gap, dur in raw:
+            ts += gap
+            records.append(rec(1, 0, size, ts, dur=dur))
+        assert_matches_extractor(records, threshold)
 
 
 class TestProperties:

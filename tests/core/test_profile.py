@@ -1,6 +1,7 @@
 """Unit tests for execution profiles and evaluation stages (§2.2)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.burst import IOBurst, ProfiledRequest
 from repro.core.profile import (
@@ -107,34 +108,63 @@ class TestStages:
             profile([(1, 1, 1)]).stages(0.0)
 
 
-class TestSplice:
-    def test_observed_replaces_covered_prefix(self):
-        old = profile([(100, 1, 1), (200, 1, 1), (300, 1, 0)])
-        observed = [burst(150, 0, 0.5)]
-        spliced = old.spliced(observed, [0.2])
-        # 150 observed bytes cover old burst 0 (100 B): replaced by the
-        # observed burst, old bursts 1.. retained.
-        assert len(spliced) == 3
-        assert spliced.bursts[0].nbytes == 150
-        assert spliced.bursts[1].nbytes == 200
+class TestSpliceIsBytePositioning:
+    """The §2.3.1 splice never changes the slice a decision replays.
 
-    def test_observed_covering_everything(self):
+    Splicing replaces the first ``n`` old bursts with the observed ones,
+    where ``n = old.burst_index_for_bytes(observed_bytes)``.  Every
+    observed burst's cumulative byte count is at most
+    ``observed_bytes``, so in the spliced profile that byte count lands
+    on the first retained old burst, ``old[n]`` — the burst the old
+    profile itself starts from.  FlexFetch therefore slices its recorded
+    profile at the demand byte count and never builds the splice;
+    :func:`reference_spliced` keeps the construction here as the proof
+    obligation.
+    """
+
+    @staticmethod
+    def reference_spliced(old, observed_bursts, observed_thinks):
+        """The assembled profile exactly as §2.3.1 describes it."""
+        observed_bytes = sum(b.nbytes for b in observed_bursts)
+        n = old.burst_index_for_bytes(observed_bytes)
+        return ExecutionProfile(
+            list(observed_bursts) + list(old.bursts[n:]),
+            list(observed_thinks) + list(old.thinks[n:]))
+
+    def assert_same_slice(self, old, observed, horizon):
+        bursts = [b for b, _ in observed]
+        thinks = [t for _, t in observed]
+        nbytes = sum(b.nbytes for b in bursts)
+        spliced = self.reference_spliced(old, bursts, thinks)
+        assert (spliced.upcoming_slice(nbytes, horizon)
+                == old.upcoming_slice(nbytes, horizon))
+
+    @settings(max_examples=200, deadline=None)
+    @given(old=st.lists(st.tuples(st.integers(1, 500),
+                                  st.floats(0, 10, allow_nan=False),
+                                  st.floats(0, 30, allow_nan=False)),
+                        max_size=30),
+           observed=st.lists(st.tuples(st.integers(1, 800),
+                                       st.floats(0, 10, allow_nan=False),
+                                       st.floats(0, 30, allow_nan=False)),
+                             max_size=30),
+           horizon=st.floats(0, 200, allow_nan=False))
+    def test_spliced_slice_equals_old_slice(self, old, observed, horizon):
+        self.assert_same_slice(
+            profile(old),
+            [(burst(n, 0.0, d), t) for n, d, t in observed], horizon)
+
+    def test_observed_bytes_past_whole_profile(self):
         old = profile([(100, 1, 1), (200, 1, 0)])
-        observed = [burst(500, 0, 2.0)]
-        spliced = old.spliced(observed, [0.0])
-        assert len(spliced) == 1
-        assert spliced.total_bytes == 500
+        observed = [(burst(250, 0, 1.0), 3.0), (burst(250, 4, 1.0), 0.0)]
+        self.assert_same_slice(old, observed, 80.0)
+        assert old.upcoming_slice(500, 80.0) == ([], [])
 
-    def test_empty_observation_is_identity(self):
+    def test_empty_observation(self):
         old = profile([(100, 1, 1), (200, 1, 0)])
-        spliced = old.spliced([], [])
-        assert spliced.total_bytes == old.total_bytes
-        assert len(spliced) == len(old)
-
-    def test_mismatched_lengths_rejected(self):
-        old = profile([(100, 1, 0)])
-        with pytest.raises(ValueError):
-            old.spliced([burst(1, 0, 1)], [])
+        self.assert_same_slice(old, [], 80.0)
+        assert old.upcoming_slice(0, 80.0) == (list(old.bursts),
+                                               list(old.thinks))
 
 
 class TestMerge:

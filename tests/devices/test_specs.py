@@ -96,6 +96,45 @@ class TestValidation:
             AIRONET_350.with_link(latency=-1e-3)
 
 
+def _numeric_fields(spec):
+    """Every int or float field, plus ``sleep_timeout`` (None here)."""
+    names = []
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        if f.name == "sleep_timeout" or (
+                isinstance(value, (int, float))
+                and not isinstance(value, bool)):
+            names.append(f.name)
+    return names
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteRejected:
+    """NaN and ±inf fail every numeric field, not only the signed
+    checks: ``nan < 0`` is False and inf is positive."""
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    @pytest.mark.parametrize("field", _numeric_fields(HITACHI_DK23DA))
+    def test_disk_spec(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(HITACHI_DK23DA, **{field: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+    @pytest.mark.parametrize("field", _numeric_fields(AIRONET_350))
+    def test_wnic_spec(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(AIRONET_350, **{field: value})
+
+    def test_field_lists_cover_the_specs(self):
+        assert len(_numeric_fields(HITACHI_DK23DA)) == 17
+        assert len(_numeric_fields(AIRONET_350)) == 16
+
+    def test_sleep_timeout_none_still_accepted(self):
+        assert HITACHI_DK23DA.with_sleep(None).sleep_timeout is None
+
+
 class TestDerivation:
     def test_with_timeout(self):
         spec = HITACHI_DK23DA.with_timeout(5.0)

@@ -8,7 +8,11 @@ from repro.core.policies import DiskOnlyPolicy, WnicOnlyPolicy
 from repro.core.profile import profile_from_trace
 from repro.core.simulator import ProgramSpec
 from repro.experiments.cache import RunCache
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import (
+    FIXED_BANDWIDTH_BPS,
+    FIXED_LATENCY,
+    ExperimentConfig,
+)
 from repro.experiments.figures import FlexFetchFactory
 from repro.experiments.parallel import (
     ParallelSweepExecutor,
@@ -16,6 +20,8 @@ from repro.experiments.parallel import (
     SweepCellError,
     SweepJob,
     _execute_job,
+    enable_profiling,
+    merged_profile_stats,
     stage_payload,
 )
 from repro.experiments.runner import ProgramSet, run_sweep
@@ -233,3 +239,33 @@ class TestWorkerClamp:
         clamped = ParallelSweepExecutor(16).run_sweep(
             programs, facts, [config.wnic_spec], config)
         assert clamped == serial
+
+
+class TestProfiling:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_merged_profile_counts_every_live_cell(self, tmp_path,
+                                                   programs, workers):
+        """Two panels through one executor, as ``sweep --panel ab
+        --profile`` runs them: sweep indices restart per panel, and the
+        cache is off so the link point both panels share runs live
+        twice.  Every live cell's ``run_point`` is in the merge."""
+        config = ExperimentConfig(
+            seed=3, latency_sweep=(FIXED_LATENCY, 0.010),
+            bandwidth_sweep_bps=(FIXED_BANDWIDTH_BPS, 2e6 / 8))
+        facts = {"Disk-only": DiskOnlyPolicy, "WNIC-only": WnicOnlyPolicy}
+        executor = ParallelSweepExecutor(workers)
+        enable_profiling(tmp_path)
+        try:
+            executor.run_sweep(programs, facts, config.latency_points(),
+                               config)
+            executor.run_sweep(programs, facts, config.bandwidth_points(),
+                               config)
+        finally:
+            enable_profiling(None)
+        stats = merged_profile_stats(tmp_path)
+        assert stats is not None
+        calls = sum(nc for (path, _line, func), (_cc, nc, *_rest)
+                    in stats.stats.items()
+                    if func == "run_point" and path.endswith("runner.py"))
+        assert executor.live_runs == 8
+        assert calls == executor.live_runs
