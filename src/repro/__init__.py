@@ -36,13 +36,14 @@ from repro.core.flexfetch import FlexFetchConfig, FlexFetchPolicy
 from repro.core.policies import DiskOnlyPolicy, Policy, WnicOnlyPolicy
 from repro.core.profile import ExecutionProfile, profile_from_trace
 from repro.core.session import SimulationSession
-from repro.core.simulator import (
-    MobileSystem,
-    ProgramSpec,
-    ReplaySimulator,
+from repro.core.system import MobileSystem
+from repro.core.telemetry import (
+    MetricsSink,
+    NullSink,
+    RecordingSink,
     RunResult,
 )
-from repro.core.telemetry import MetricsSink, NullSink, RecordingSink
+from repro.core.workload import ProgramSpec
 from repro.devices.specs import AIRONET_350, HITACHI_DK23DA, DiskSpec, WnicSpec
 from repro.traces.trace import Trace
 from repro import units
@@ -74,7 +75,6 @@ __all__ = [
     "NullSink",
     "ProgramSpec",
     "RecordingSink",
-    "ReplaySimulator",
     "RunResult",
     "SimulationSession",
     "AIRONET_350",

@@ -16,8 +16,7 @@
 * the replay itself is layered: :mod:`repro.core.workload` drivers over
   :mod:`repro.kernel.path` and :mod:`repro.devices.service`, routed by
   :mod:`repro.core.routing`, observed by :mod:`repro.core.telemetry`,
-  wired together by :class:`repro.core.session.SimulationSession`
-  (:mod:`repro.core.simulator` remains as a deprecated shim).
+  wired together by :class:`repro.core.session.SimulationSession`.
 """
 
 from repro.core.burst import (
@@ -35,8 +34,9 @@ from repro.core.bluefs import BlueFSConfig, BlueFSPolicy
 from repro.core.policies import DiskOnlyPolicy, Policy, RequestContext, WnicOnlyPolicy
 from repro.core.profile import ExecutionProfile, Stage, profile_from_trace
 from repro.core.session import SimulationSession
-from repro.core.simulator import MobileSystem, ProgramSpec, ReplaySimulator, RunResult
-from repro.core.telemetry import MetricsSink, NullSink, RecordingSink
+from repro.core.system import MobileSystem
+from repro.core.telemetry import MetricsSink, NullSink, RecordingSink, RunResult
+from repro.core.workload import ProgramSpec
 
 __all__ = [
     "BURST_THRESHOLD_DEFAULT",
@@ -67,7 +67,6 @@ __all__ = [
     "NullSink",
     "ProgramSpec",
     "RecordingSink",
-    "ReplaySimulator",
     "RunResult",
     "SimulationSession",
 ]

@@ -29,9 +29,9 @@ Two evaluation paths produce the same numbers (DESIGN.md §16).  The
 request.  The *packed path* — taken whenever the device is a stock
 :class:`HardDisk` (fixed spin-down timeout, no sleep state) or
 :class:`WirelessNic` (no PSM bulk transfers) — first packs the stage
-into flat per-request columns (sizes, disk placement, transfer seconds;
-numpy when available, ``array``-style lists otherwise), then walks them
-in one tight loop that transcribes the clone's meter arithmetic
+into flat per-request columns (sizes, disk placement, and transfer
+seconds computed as one numpy division), then walks them in one tight
+loop that transcribes the clone's meter arithmetic
 event-for-event.  Because float addition is not associative, the walk
 accumulates per-bucket energy in the exact same order the
 :class:`~repro.sim.metrics.EnergyMeter` would, so both paths are
@@ -40,10 +40,11 @@ bit-identical — a property the test suite asserts with Hypothesis.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 from typing import Protocol
+
+import numpy as np
 
 from repro.core.burst import IOBurst, ProfiledRequest
 from repro.core.decision import DataSource
@@ -55,18 +56,10 @@ from repro.traces.record import OpType
 from repro.units import (
     ABS_TOLERANCE,
     Bytes,
+    BytesPerSecond,
     Joules,
     Seconds,
-    transfer_seconds,
 )
-
-if os.environ.get("REPRO_NO_NUMPY"):  # forced fallback (CI no-numpy leg)
-    _np = None
-else:
-    try:
-        import numpy as _np
-    except ImportError:  # pragma: no cover - numpy ships with the image
-        _np = None
 
 _TOL = ABS_TOLERANCE
 _IDLE = DiskState.IDLE.value
@@ -268,16 +261,13 @@ class _PackedStage:
                         bandwidth_bps: BytesPerSecond) -> list[float]:
         """Per-request transfer seconds (``size / bandwidth``).
 
-        The numpy path and the scalar fallback are bit-identical: both
-        perform one correctly-rounded int->float64 conversion and one
-        IEEE-754 division per element.
+        One correctly-rounded int->float64 conversion and one IEEE-754
+        division per element: the same doubles the device models'
+        ``size_bytes / spec.bandwidth_bps`` produces.
         """
-        if _np is not None:
-            if self._sizes_f is None:
-                self._sizes_f = _np.asarray(self.sizes, dtype=_np.float64)
-            return (self._sizes_f / bandwidth_bps).tolist()
-        return [transfer_seconds(size, bandwidth_bps)
-                for size in self.sizes]
+        if self._sizes_f is None:
+            self._sizes_f = np.asarray(self.sizes, dtype=np.float64)
+        return (self._sizes_f / bandwidth_bps).tolist()
 
 
 #: shared empty stage for other-device baseline walks.

@@ -3,8 +3,8 @@
 The fast path (DESIGN.md §15–§16) is a performance shortcut with a
 bit-identical contract: for every plan-shaped cell it must produce the
 same :class:`~repro.core.telemetry.RunResult` — every float, dict and
-counter — as the discrete event loop.  The static rules R10–R13
-(``repro.lint.equiv``) catch the *structural* ways the two replays can
+counter — as the discrete event loop.  The static rules R10, R11 and
+R13 (``repro.lint.equiv``) catch the *structural* ways the two replays can
 drift apart; this module is the dynamic half: with ``REPRO_SANITIZE=1``
 (or ``flexfetch sweep --sanitize``) every cell that engages the fast
 path is re-run through the event loop in shadow and the two runs are
@@ -20,10 +20,9 @@ stage, the index of the diverging event, the field, both values and
 both energy breakdowns — enough to localise a single wrong constant to
 the record that first exposed it.
 
-The toggle is resolved once at import time (exactly like
-``REPRO_NO_NUMPY`` in :mod:`repro.core.costmodel`): reading the
-environment inside the sweep worker's call cone would be a determinism
-leak that lint rule R6 rightly rejects.
+The toggle is resolved once at import time: reading the environment
+inside the sweep worker's call cone would be a determinism leak that
+lint rule R6 rightly rejects.
 """
 
 from __future__ import annotations

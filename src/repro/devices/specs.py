@@ -10,25 +10,17 @@ by constructing a new spec.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from repro.sim.clock import GB, MBps, Mbps
-from repro.units import Bytes, BytesPerSecond, Joules, Seconds, Watts
-
-
-def _require_finite(spec: DiskSpec | WnicSpec) -> None:
-    """Reject NaN and ±inf in every float field (``None`` passes).
-
-    The ``< 0`` / ``<= 0`` checks below are all False for NaN, and inf
-    passes them, yet neither describes a device: a NaN latency makes
-    the fast path and the event loop disagree, an infinite one makes
-    the energy infinite.
-    """
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
+from repro.units import (
+    Bytes,
+    BytesPerSecond,
+    Joules,
+    Seconds,
+    Watts,
+    require_finite_fields,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,7 +75,7 @@ class DiskSpec:
     wake_energy: Joules = 7.5
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        require_finite_fields(self)
         for field_name in ("active_power", "idle_power", "standby_power",
                            "spinup_energy", "spinup_time", "spindown_energy",
                            "spindown_time", "avg_seek_time",
@@ -167,7 +159,7 @@ class WnicSpec:
     beacon_interval: float = 0.1
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        require_finite_fields(self)
         for field_name in ("psm_idle_power", "psm_recv_power",
                            "psm_send_power", "cam_idle_power",
                            "cam_recv_power", "cam_send_power",

@@ -271,14 +271,19 @@ class RunCache:
         return result
 
     def put(self, key: str, result: RunResult) -> Path:
-        """Persist one result row; returns the file written."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(key)
-        payload = {
+        """Persist one result row; returns the file written.
+
+        A result holding NaN or ±inf is refused with ``ValueError``
+        before anything touches the disk: such a row would be served as
+        a valid hit to every later sweep.
+        """
+        text = json.dumps({
             "salt": self.salt,
             "key": key,
             "result": dataclasses.asdict(result),
-        }
+        }, sort_keys=True, indent=1, allow_nan=False)
+        self.root.mkdir(parents=True, exist_ok=True)
+        path = self.path_for(key)
         # A per-process unique tmp name: ``with_suffix(".tmp")`` was
         # deterministic, so two sweeps sharing a cache dir could
         # interleave writes into the same tmp file.  fsync before the
@@ -286,7 +291,7 @@ class RunCache:
         # across a crash.
         tmp = self.root / f"{key}.{os.getpid()}.{next(_TMP_COUNTER)}.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=1))
+            fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
         tmp.replace(path)

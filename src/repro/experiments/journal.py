@@ -197,8 +197,10 @@ class SweepJournal:
     def _append(self, record: dict[str, Any]) -> None:
         if self._closed:
             raise JournalError("journal is closed")
-        line = json.dumps(record, sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
+        # allow_nan=False: a NaN/inf row raises here, before the write,
+        # so a resume never replays a non-finite result as completed.
+        line = json.dumps(record, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False).encode("utf-8")
         self._fh.write(line + b"\n")
         self._fh.flush()
         os.fsync(self._fh.fileno())

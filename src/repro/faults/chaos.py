@@ -26,7 +26,7 @@ from pathlib import Path
 
 from repro.faults.schedule import FaultSpecError
 from repro.sim.rng import make_rng
-from repro.units import Seconds
+from repro.units import Seconds, require_finite_fields
 
 #: Bytes written over a cache row by the ``corrupt`` action.  Not JSON,
 #: so the fail-open reader must classify the row as corrupt.
@@ -64,6 +64,7 @@ class ChaosSpec:
     max_hit_attempts: int = 1
 
     def __post_init__(self) -> None:
+        require_finite_fields(self, FaultSpecError)
         for name in ("kill_prob", "hang_prob", "corrupt_prob",
                      "truncate_prob"):
             value = getattr(self, name)

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.sim.clock import Mbps
 from repro.sim.rng import DEFAULT_SEED, make_rng
-from repro.units import BytesPerSecond, Seconds
+from repro.units import BytesPerSecond, Seconds, require_finite_fields
 
 #: The lower 802.11b PHY rates a faulty link can fall back to, in
 #: bytes/second, descending (§3.3 lists 11, 5.5, 2 and 1 Mbps).
@@ -100,6 +100,7 @@ class FaultSpec:
     max_consecutive_spinup_failures: int = 8
 
     def __post_init__(self) -> None:
+        require_finite_fields(self, FaultSpecError)
         for name in ("outage_rate", "rate_flap_rate", "retry_backoff",
                      "spinup_backoff", "failover_cooldown"):
             if getattr(self, name) < 0:

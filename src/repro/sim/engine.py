@@ -1,6 +1,6 @@
 """A minimal, deterministic discrete-event loop.
 
-The replay simulator (`repro.core.simulator`) interleaves several
+The replay (`repro.core.session.SimulationSession`) interleaves several
 closed-loop programs (each alternating *think* and *I/O*), device power
 timers (disk spin-down, WNIC CAM->PSM), and kernel write-back timers.  All
 of that multiplexing is expressed as events on one :class:`EventLoop`.

@@ -11,26 +11,16 @@ C-SCAN elevator orders by a layout placed from the experiment seed.
 :func:`build_plan` runs that walk exactly once and freezes the outcome
 into a :class:`BurstPlan`: the per-record device extents (already
 C-SCAN ordered), the net page-residency delta each record applies to
-the cache, the final cache counters, and packed per-record columns
-(fetch bytes, cached-vs-miss page splits, think gaps, burst-stage
-boundaries) for the vectorized cost kernels.  Plans are memoised by
-trace content digest via :func:`plan_for`, so one plan per trace per
-process is shared copy-on-write across all sweep cells and forked
-workers — the same lifecycle as the compile-once trace registry.
-
-Columns are numpy arrays when numpy is importable, ``array``-module
-buffers otherwise; set ``REPRO_NO_NUMPY=1`` before import to force the
-fallback (the CI no-numpy leg does).  Both forms hold identical IEEE
-doubles/int64s, so downstream consumers are bit-identical either way.
+the cache, and the final cache counters.  Plans are memoised by trace
+content digest via :func:`plan_for`, so one plan per trace per process
+is shared copy-on-write across all sweep cells and forked workers —
+the same lifecycle as the compile-once trace registry.
 """
 
 from __future__ import annotations
 
-import os
-from array import array
 from dataclasses import dataclass, replace
 
-from repro.core.burst import BURST_THRESHOLD_DEFAULT
 from repro.devices.layout import BLOCK_SIZE, DiskLayout
 from repro.kernel.cache import CacheStats
 from repro.kernel.page import Extent, PageId
@@ -40,33 +30,8 @@ from repro.kernel.vfs import VirtualFileSystem
 from repro.traces.compile import CompiledTrace
 from repro.units import Bytes, Seconds
 
-# Resolved once at import: the fallback contract is a process-wide
-# property, not a per-call switch, so plans built anywhere in the
-# process agree on their column representation.
-if os.environ.get("REPRO_NO_NUMPY"):
-    _np = None
-else:
-    try:
-        import numpy as _np
-    except ImportError:  # pragma: no cover - numpy ships in the image
-        _np = None
-
 #: Compiled op code for READ (see ``repro.traces.compile.OPS_BY_CODE``).
 _READ_OP = 0
-
-
-def _pack_q(values) -> object:
-    """Pack ints into an int64 column (numpy or ``array('q')``)."""
-    if _np is not None:
-        return _np.asarray(list(values), dtype=_np.int64)
-    return array("q", values)
-
-
-def _pack_d(values) -> object:
-    """Pack floats into a float64 column (numpy or ``array('d')``)."""
-    if _np is not None:
-        return _np.asarray(list(values), dtype=_np.float64)
-    return array("d", values)
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,13 +45,6 @@ class BurstPlan:
     to the page cache (insertions minus reclaims, compressed so a page
     touched many times appears at most once).  ``final_stats`` is the
     cache counter state after the last record.
-
-    The packed columns summarise the same walk for batch consumers:
-    ``fetch_bytes`` is what each record moves off a device,
-    ``hit_pages``/``miss_pages`` split each record's demand pages into
-    cached and fetched, ``think_gaps`` mirrors the compiled trace's
-    inter-record gaps, and ``stage_bounds`` marks the record indices
-    where a new I/O burst begins under the default burst threshold.
     """
 
     digest: str
@@ -97,11 +55,6 @@ class BurstPlan:
     added: tuple[tuple[PageId, ...], ...]
     removed: tuple[tuple[PageId, ...], ...]
     final_stats: CacheStats
-    fetch_bytes: object   # int64 column, one entry per record
-    hit_pages: object     # int64 column, demand pages served from cache
-    miss_pages: object    # int64 column, demand pages fetched
-    think_gaps: object    # float64 column, record_count - 1 entries
-    stage_bounds: object  # int64 column, burst-start record indices
 
     def stats_copy(self) -> CacheStats:
         """A private, mutation-safe copy of the final cache counters."""
@@ -182,14 +135,10 @@ def build_plan(trace: CompiledTrace, memory_bytes: Bytes,
     inodes = memoryview(trace.inodes).cast("q")
     offsets = memoryview(trace.offsets).cast("q")
     sizes = memoryview(trace.sizes).cast("q")
-    thinks = memoryview(trace.thinks).cast("d")
 
     extents: list[tuple[Extent, ...]] = []
     added: list[tuple[PageId, ...]] = []
     removed: list[tuple[PageId, ...]] = []
-    fetch_bytes: list[int] = []
-    hit_pages: list[int] = []
-    miss_pages: list[int] = []
     for i in range(trace.record_count):
         fetch_plan = vfs.read(pids[i], inodes[i], offsets[i],
                               sizes[i], 0.0)
@@ -203,13 +152,7 @@ def build_plan(trace: CompiledTrace, memory_bytes: Bytes,
         extents.append(tuple(ordered))
         added.append(net_added)
         removed.append(net_removed)
-        fetch_bytes.append(sum(e.nbytes for e in ordered))
-        hit_pages.append(fetch_plan.hit_pages)
-        miss_pages.append(fetch_plan.miss_pages)
 
-    bounds = [0] if trace.record_count else []
-    bounds.extend(i + 1 for i, gap in enumerate(thinks)
-                  if gap >= BURST_THRESHOLD_DEFAULT)
     return BurstPlan(
         digest=trace.digest,
         memory_bytes=memory_bytes,
@@ -218,12 +161,7 @@ def build_plan(trace: CompiledTrace, memory_bytes: Bytes,
         extents=tuple(extents),
         added=tuple(added),
         removed=tuple(removed),
-        final_stats=replace(vfs.cache.stats),
-        fetch_bytes=_pack_q(fetch_bytes),
-        hit_pages=_pack_q(hit_pages),
-        miss_pages=_pack_q(miss_pages),
-        think_gaps=_pack_d(thinks),
-        stage_bounds=_pack_q(bounds))
+        final_stats=replace(vfs.cache.stats))
 
 
 class _CacheView:

@@ -24,7 +24,7 @@ with :func:`approx_eq` / :func:`is_zero`, never ``==``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Annotated, TypeAlias
 
 
@@ -134,6 +134,21 @@ def is_zero(value: float, *, abs_tol: float = ABS_TOLERANCE) -> bool:
     return abs(value) <= abs_tol
 
 
+def require_finite_fields(spec: object,
+                          error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` if any float field of a spec dataclass is NaN/±inf.
+
+    Range checks such as ``x < 0`` and ``x <= 0`` are all False for
+    NaN, and inf passes them, yet neither describes a device or a
+    schedule: a NaN latency makes the fast path and the event loop
+    disagree, an infinite fault horizon never stops drawing outages.
+    """
+    for f in fields(spec):  # type: ignore[arg-type]
+        value = getattr(spec, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{f.name} must be finite, got {value!r}")
+
+
 __all__ = [
     "Unit",
     "SECOND",
@@ -156,4 +171,5 @@ __all__ = [
     "REL_TOLERANCE",
     "approx_eq",
     "is_zero",
+    "require_finite_fields",
 ]

@@ -5,7 +5,8 @@ import pytest
 from repro.core.flexfetch import FlexFetchPolicy
 from repro.core.policies import DiskOnlyPolicy, WnicOnlyPolicy
 from repro.core.profile import profile_from_trace
-from repro.core.simulator import ProgramSpec, ReplaySimulator
+from repro.core.session import SimulationSession
+from repro.core.workload import ProgramSpec
 from tests.conftest import make_trace
 
 
@@ -55,8 +56,8 @@ class TestConcurrentReplay:
         a, b = media_trace(), scan_trace()
         policy = FlexFetchPolicy.for_programs(
             [profile_from_trace(a), profile_from_trace(b)])
-        result = ReplaySimulator([ProgramSpec(a), ProgramSpec(b)],
-                                 policy, seed=1).run()
+        result = SimulationSession([ProgramSpec(a), ProgramSpec(b)],
+                                   policy, seed=1).run()
         # Tracker aggregated both programs' demand bytes.
         assert policy.tracker.total_bytes == pytest.approx(
             sum(r.size for r in a.data_records())
@@ -70,11 +71,11 @@ class TestConcurrentReplay:
         a, b = media_trace(), scan_trace()
         policy = FlexFetchPolicy.for_programs(
             [profile_from_trace(a), profile_from_trace(b)])
-        ff = ReplaySimulator([ProgramSpec(a), ProgramSpec(b)], policy,
-                             seed=1).run()
-        disk = ReplaySimulator([ProgramSpec(a), ProgramSpec(b)],
-                               DiskOnlyPolicy(), seed=1).run()
-        wnic = ReplaySimulator([ProgramSpec(a), ProgramSpec(b)],
-                               WnicOnlyPolicy(), seed=1).run()
+        ff = SimulationSession([ProgramSpec(a), ProgramSpec(b)], policy,
+                               seed=1).run()
+        disk = SimulationSession([ProgramSpec(a), ProgramSpec(b)],
+                                 DiskOnlyPolicy(), seed=1).run()
+        wnic = SimulationSession([ProgramSpec(a), ProgramSpec(b)],
+                                 WnicOnlyPolicy(), seed=1).run()
         assert ff.total_energy <= max(disk.total_energy,
                                       wnic.total_energy)

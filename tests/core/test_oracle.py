@@ -6,7 +6,8 @@ from repro.core.oracle import ClairvoyantStagePolicy
 from repro.core.flexfetch import FlexFetchPolicy
 from repro.core.policies import DiskOnlyPolicy, WnicOnlyPolicy
 from repro.core.profile import profile_from_trace
-from repro.core.simulator import ProgramSpec, ReplaySimulator
+from repro.core.session import SimulationSession
+from repro.core.workload import ProgramSpec
 from tests.conftest import make_trace
 
 
@@ -35,15 +36,15 @@ class TestDecisions:
     def test_dense_goes_disk(self):
         trace = dense()
         policy = ClairvoyantStagePolicy(trace)
-        result = ReplaySimulator([ProgramSpec(trace)], policy,
-                                 seed=1).run()
+        result = SimulationSession([ProgramSpec(trace)], policy,
+                                   seed=1).run()
         assert result.device_bytes["disk"] > result.device_bytes["network"]
 
     def test_sparse_goes_network(self):
         trace = sparse()
         policy = ClairvoyantStagePolicy(trace)
-        result = ReplaySimulator([ProgramSpec(trace)], policy,
-                                 seed=1).run()
+        result = SimulationSession([ProgramSpec(trace)], policy,
+                                   seed=1).run()
         assert result.device_bytes["network"] > result.device_bytes["disk"]
 
 
@@ -51,13 +52,13 @@ class TestOptimality:
     @pytest.mark.parametrize("trace_factory", [dense, sparse])
     def test_at_or_below_best_fixed_policy(self, trace_factory):
         trace = trace_factory()
-        oracle = ReplaySimulator([ProgramSpec(trace)],
-                                 ClairvoyantStagePolicy(trace),
+        oracle = SimulationSession([ProgramSpec(trace)],
+                                   ClairvoyantStagePolicy(trace),
+                                   seed=1).run()
+        disk = SimulationSession([ProgramSpec(trace)], DiskOnlyPolicy(),
                                  seed=1).run()
-        disk = ReplaySimulator([ProgramSpec(trace)], DiskOnlyPolicy(),
-                               seed=1).run()
-        wnic = ReplaySimulator([ProgramSpec(trace)], WnicOnlyPolicy(),
-                               seed=1).run()
+        wnic = SimulationSession([ProgramSpec(trace)], WnicOnlyPolicy(),
+                                 seed=1).run()
         best = min(disk.total_energy, wnic.total_energy)
         assert oracle.total_energy <= best * 1.02
 
@@ -67,10 +68,10 @@ class TestOptimality:
         """With a truthful profile FlexFetch should track the oracle
         closely — the residual gap is hysteresis + exploration."""
         trace = trace_factory()
-        oracle = ReplaySimulator([ProgramSpec(trace)],
-                                 ClairvoyantStagePolicy(trace),
-                                 seed=1).run()
-        ff = ReplaySimulator(
+        oracle = SimulationSession([ProgramSpec(trace)],
+                                   ClairvoyantStagePolicy(trace),
+                                   seed=1).run()
+        ff = SimulationSession(
             [ProgramSpec(trace)],
             FlexFetchPolicy(profile_from_trace(trace)), seed=1).run()
         assert ff.total_energy <= oracle.total_energy * 1.15

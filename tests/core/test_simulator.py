@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.policies import DiskOnlyPolicy, WnicOnlyPolicy
-from repro.core.simulator import MobileSystem, ProgramSpec, ReplaySimulator
+from repro.core.session import SimulationSession
+from repro.core.system import MobileSystem
+from repro.core.workload import ProgramSpec
 from repro.devices.specs import AIRONET_350
 from repro.sim.clock import MB
 from tests.conftest import make_trace
@@ -12,31 +14,31 @@ from tests.conftest import make_trace
 class TestClosedLoop:
     def test_think_times_preserved(self, sparse_trace):
         """Completion-to-issue gaps must match the recorded thinks."""
-        result = ReplaySimulator([ProgramSpec(sparse_trace)],
-                                 DiskOnlyPolicy(), seed=1).run()
+        result = SimulationSession([ProgramSpec(sparse_trace)],
+                                   DiskOnlyPolicy(), seed=1).run()
         # 6 requests, 30 s gaps: run must span at least 5 * 30 s.
         assert result.end_time >= 150.0
         assert result.end_time < 170.0       # ...but not balloon
 
     def test_slow_device_stretches_run(self, bursty_trace):
-        disk = ReplaySimulator([ProgramSpec(bursty_trace)],
-                               DiskOnlyPolicy(), seed=1).run()
+        disk = SimulationSession([ProgramSpec(bursty_trace)],
+                                 DiskOnlyPolicy(), seed=1).run()
         slow_wnic = AIRONET_350.with_link(bandwidth_bps=1e6 / 8)
-        wnic = ReplaySimulator([ProgramSpec(bursty_trace)],
-                               WnicOnlyPolicy(), wnic_spec=slow_wnic,
-                               seed=1).run()
+        wnic = SimulationSession([ProgramSpec(bursty_trace)],
+                                 WnicOnlyPolicy(), wnic_spec=slow_wnic,
+                                 seed=1).run()
         # 8 MB at 1 Mbps takes over a minute; the disk does it in ~2 s.
         assert wnic.end_time > disk.end_time + 50.0
 
     def test_empty_program_rejected(self):
         with pytest.raises(ValueError):
-            ReplaySimulator([], DiskOnlyPolicy())
+            SimulationSession([], DiskOnlyPolicy()).run()
 
 
 class TestEnergyAccounting:
     def test_disk_only_energy_decomposition(self, sparse_trace):
-        result = ReplaySimulator([ProgramSpec(sparse_trace)],
-                                 DiskOnlyPolicy(), seed=1).run()
+        result = SimulationSession([ProgramSpec(sparse_trace)],
+                                   DiskOnlyPolicy(), seed=1).run()
         assert result.total_energy == pytest.approx(
             result.disk_energy + result.wnic_energy)
         # 30 s gaps > 20 s timeout: the disk spin-cycles on every
@@ -48,8 +50,8 @@ class TestEnergyAccounting:
             0.39 * result.end_time, rel=0.05)
 
     def test_wnic_only_leaves_disk_in_standby(self, sparse_trace):
-        result = ReplaySimulator([ProgramSpec(sparse_trace)],
-                                 WnicOnlyPolicy(), seed=1).run()
+        result = SimulationSession([ProgramSpec(sparse_trace)],
+                                   WnicOnlyPolicy(), seed=1).run()
         assert result.disk_spinups == 0
         assert result.disk_energy == pytest.approx(
             0.15 * result.end_time, rel=0.05)
@@ -57,16 +59,16 @@ class TestEnergyAccounting:
         assert 3 <= result.wnic_wakeups <= 6
 
     def test_breakdowns_sum_to_totals(self, bursty_trace):
-        result = ReplaySimulator([ProgramSpec(bursty_trace)],
-                                 DiskOnlyPolicy(), seed=1).run()
+        result = SimulationSession([ProgramSpec(bursty_trace)],
+                                   DiskOnlyPolicy(), seed=1).run()
         assert sum(result.disk_breakdown.values()) == pytest.approx(
             result.disk_energy, rel=1e-6)
         assert sum(result.wnic_breakdown.values()) == pytest.approx(
             result.wnic_energy, rel=1e-6)
 
     def test_residencies_cover_run(self, bursty_trace):
-        result = ReplaySimulator([ProgramSpec(bursty_trace)],
-                                 DiskOnlyPolicy(), seed=1).run()
+        result = SimulationSession([ProgramSpec(bursty_trace)],
+                                   DiskOnlyPolicy(), seed=1).run()
         assert sum(result.disk_residency.values()) == pytest.approx(
             result.end_time, rel=1e-6)
 
@@ -76,8 +78,8 @@ class TestCacheInteraction:
         calls = [(1, 0, 1 * MB, "read", 0.0),
                  (1, 0, 1 * MB, "read", 5.0)]
         trace = make_trace(calls)
-        result = ReplaySimulator([ProgramSpec(trace)], DiskOnlyPolicy(),
-                                 seed=1, memory_bytes=8 * MB).run()
+        result = SimulationSession([ProgramSpec(trace)], DiskOnlyPolicy(),
+                                   seed=1, memory_bytes=8 * MB).run()
         assert result.cache_hit_ratio > 0.4
         # Device moved roughly one copy of the data, not two.
         assert result.device_bytes["disk"] < 1.5 * MB
@@ -85,8 +87,8 @@ class TestCacheInteraction:
     def test_fully_cached_syscall_completes_instantly(self):
         calls = [(1, 0, 4096, "read", 0.0), (1, 0, 4096, "read", 1.0)]
         trace = make_trace(calls)
-        sim = ReplaySimulator([ProgramSpec(trace)], DiskOnlyPolicy(),
-                              seed=1)
+        sim = SimulationSession([ProgramSpec(trace)], DiskOnlyPolicy(),
+                                seed=1)
         result = sim.run()
         # Second read is a pure cache hit: completion == issue time.
         assert result.end_time == pytest.approx(
@@ -98,8 +100,8 @@ class TestWritePath:
         calls = [(1, i * 4096, 4096, "write", i * 0.001)
                  for i in range(100)]
         trace = make_trace(calls)
-        result = ReplaySimulator([ProgramSpec(trace)], DiskOnlyPolicy(),
-                                 seed=1).run()
+        result = SimulationSession([ProgramSpec(trace)], DiskOnlyPolicy(),
+                                   seed=1).run()
         # Program never waits for the disk: the run ends with the last
         # write's issue (plus nothing), not after device flushing.
         assert result.foreground_time < 1.0
@@ -108,8 +110,8 @@ class TestWritePath:
         calls = [(1, 0, 64 * 1024, "write", 0.0),
                  (1, 0, 4096, "read", 40.0)]   # later activity
         trace = make_trace(calls, file_sizes={1: 64 * 1024})
-        result = ReplaySimulator([ProgramSpec(trace)], DiskOnlyPolicy(),
-                                 seed=1).run()
+        result = SimulationSession([ProgramSpec(trace)], DiskOnlyPolicy(),
+                                   seed=1).run()
         assert result.device_bytes["disk"] >= 64 * 1024
 
 
@@ -121,7 +123,7 @@ class TestMultiProgram:
         bg = make_trace([(2, i * 65536, 65536, "read", i * 5.0)
                          for i in range(30)], name="bg",
                         file_sizes={2: 30 * 65536})
-        result = ReplaySimulator(
+        result = SimulationSession(
             [ProgramSpec(fg),
              ProgramSpec(bg, profiled=False, disk_pinned=True)],
             DiskOnlyPolicy(), seed=1).run()
@@ -134,7 +136,7 @@ class TestMultiProgram:
         bg = make_trace([(2, i * 4096, 4096, "read", i * 1.0)
                          for i in range(10)], name="bg",
                         file_sizes={2: 10 * 4096})
-        result = ReplaySimulator(
+        result = SimulationSession(
             [ProgramSpec(bg, profiled=False, disk_pinned=True)],
             WnicOnlyPolicy(), seed=1).run()
         assert result.device_bytes["network"] == 0
@@ -144,8 +146,8 @@ class TestMultiProgram:
 class TestDeterminism:
     def test_same_seed_same_result(self, bursty_trace):
         def run():
-            return ReplaySimulator([ProgramSpec(bursty_trace)],
-                                   DiskOnlyPolicy(), seed=9).run()
+            return SimulationSession([ProgramSpec(bursty_trace)],
+                                     DiskOnlyPolicy(), seed=9).run()
         a, b = run(), run()
         assert a.total_energy == b.total_energy
         assert a.end_time == b.end_time

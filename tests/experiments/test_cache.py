@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.policies import DiskOnlyPolicy, WnicOnlyPolicy
-from repro.core.simulator import ProgramSpec
+from repro.core.workload import ProgramSpec
 from repro.experiments.cache import (
     RunCache,
     RunCacheCorruptionWarning,
@@ -236,6 +236,19 @@ class TestRunCache:
         cache.put(key, self._point(config, programs).result)
         assert list(tmp_path.glob("*.tmp")) == []
         assert cache.get(key) is not None
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_result_is_never_stored(self, tmp_path, config,
+                                               programs, value):
+        cache = RunCache(tmp_path)
+        key = cache.key_for(programs, DiskOnlyPolicy, config.wnic_spec,
+                            config)
+        bad = replace(self._point(config, programs).result, end_time=value)
+        with pytest.raises(ValueError):
+            cache.put(key, bad)
+        assert cache.stores == 0
+        assert list(tmp_path.iterdir()) == []     # no row, no .tmp
+        assert cache.get(key) is None
 
     def test_corrupt_rows_counted_and_warned_once(self, tmp_path, config,
                                                   programs):

@@ -11,12 +11,13 @@ import signal
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from repro.core.policies import DiskOnlyPolicy, WnicOnlyPolicy
-from repro.core.simulator import ProgramSpec
+from repro.core.workload import ProgramSpec
 from repro.experiments.cache import RunCache, RunCacheCorruptionWarning
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.journal import SweepJournal, load_journal
@@ -100,6 +101,15 @@ class TestChaosSpec:
     def test_validation(self, kwargs):
         with pytest.raises(FaultSpecError):
             ChaosSpec(**kwargs)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", [
+        f.name for f in fields(ChaosSpec) if isinstance(f.default, float)])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(FaultSpecError, match=name):
+            ChaosSpec(**{name: float(value)})
+        with pytest.raises(FaultSpecError, match=name):
+            ChaosSpec.parse(f"{name.replace('_', '-')}={value}")
 
 
 class TestInjectorDecisions:

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.policies import DiskOnlyPolicy, WnicOnlyPolicy
-from repro.core.simulator import ProgramSpec
+from repro.core.workload import ProgramSpec
 from repro.core.telemetry import RunResult
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.journal import (
@@ -93,6 +93,19 @@ class TestRecordRoundTrip:
         replay = load_journal(path)
         assert replay.completed == {"k1": result}
         assert replay.failed == {}
+
+    def test_non_finite_result_is_never_journaled(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        good = sample_result()
+        with SweepJournal(path) as journal:
+            journal.record_finish(0, "k1", good)
+            with pytest.raises(ValueError):
+                journal.record_finish(
+                    1, "k2", sample_result(end_time=float("nan")))
+            assert "k2" not in journal.replay.completed
+        replay = load_journal(path)
+        assert replay.completed == {"k1": good}
+        assert not replay.torn_tail
 
     def test_append_after_close_raises(self, tmp_path):
         journal = SweepJournal(tmp_path / "j.jsonl")

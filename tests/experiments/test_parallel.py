@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.policies import DiskOnlyPolicy, WnicOnlyPolicy
 from repro.core.profile import profile_from_trace
-from repro.core.simulator import ProgramSpec
+from repro.core.workload import ProgramSpec
 from repro.experiments.cache import RunCache
 from repro.experiments.config import (
     FIXED_BANDWIDTH_BPS,

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from repro.core.policies import DiskOnlyPolicy, WnicOnlyPolicy
-from repro.core.simulator import ProgramSpec
+from repro.core.workload import ProgramSpec
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.parallel import ParallelSweepExecutor, _PointStore
 from repro.experiments.runner import (

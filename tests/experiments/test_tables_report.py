@@ -53,7 +53,7 @@ class TestRendering:
         assert len(text.splitlines()) == 10
 
     def test_render_figure_and_csv(self):
-        from repro.core.simulator import RunResult
+        from repro.core.telemetry import RunResult
         from repro.experiments.figures import FigureResult
 
         def result(energy):

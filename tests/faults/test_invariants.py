@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.policies import DiskOnlyPolicy
-from repro.core.simulator import MobileSystem, ProgramSpec, ReplaySimulator
+from repro.core.session import SimulationSession
+from repro.core.system import MobileSystem
+from repro.core.workload import ProgramSpec
 from repro.faults.invariants import (
     InvariantChecker,
     SimulationInvariantError,
@@ -18,8 +20,8 @@ def _run_tiny():
         (1, 4096, 8192, "read", 1.0),
         (1, 12288, 4096, "read", 30.0),
     ])
-    return ReplaySimulator([ProgramSpec(trace)], DiskOnlyPolicy(),
-                           seed=1).run()
+    return SimulationSession([ProgramSpec(trace)], DiskOnlyPolicy(),
+                             seed=1).run()
 
 
 class TestErrorShape:
@@ -108,8 +110,8 @@ class TestStrictMode:
         ])
         for policy in (DiskOnlyPolicy(), WnicOnlyPolicy(), BlueFSPolicy(),
                        FlexFetchPolicy(profile_from_trace(trace))):
-            result = ReplaySimulator([ProgramSpec(trace)], policy, seed=1,
-                                     strict=True).run()
+            result = SimulationSession([ProgramSpec(trace)], policy, seed=1,
+                                       strict=True).run()
             assert result.requests > 0
 
     def test_strict_passes_on_scenario_workload(self):
@@ -117,7 +119,7 @@ class TestStrictMode:
         from repro.core.flexfetch import FlexFetchPolicy
         from repro.traces.synth.scenarios import build_scenario
         scenario = build_scenario("grep", seed=7)
-        result = ReplaySimulator(
+        result = SimulationSession(
             list(scenario.programs),
             FlexFetchPolicy(scenario.profile), seed=7, strict=True).run()
         assert result.total_energy > 0

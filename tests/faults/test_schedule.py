@@ -1,5 +1,7 @@
 """Unit tests for the deterministic fault schedule."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.faults.schedule import (
@@ -33,6 +35,39 @@ class TestFaultSpec:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(FaultSpecError):
             FaultSpec(**kwargs)
+
+
+#: every float knob of FaultSpec, read off the dataclass so a new one is
+#: covered without editing this list.
+FLOAT_FIELDS = [f.name for f in fields(FaultSpec)
+                if isinstance(f.default, float)]
+NON_FINITE = ["nan", "inf", "-inf"]
+
+
+class TestFaultSpecFinite:
+    """NaN passes every range check and inf the lower bounds; an
+    infinite horizon would draw outage windows forever.  Specs are only
+    constructed here, never scheduled."""
+
+    def test_float_fields_found(self):
+        assert {"horizon", "network_timeout", "retry_backoff",
+                "outage_mean"} <= set(FLOAT_FIELDS)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_constructor_rejects(self, name, value):
+        with pytest.raises(FaultSpecError, match=name):
+            FaultSpec(**{name: float(value)})
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_parse_rejects(self, name, value):
+        with pytest.raises(FaultSpecError, match=name):
+            FaultSpec.parse(f"{name.replace('_', '-')}={value}")
+
+    def test_infinite_horizon_with_outages_rejected(self):
+        with pytest.raises(FaultSpecError, match="horizon"):
+            FaultSpec.parse("horizon=inf,outage-rate=0.01")
 
 
 class TestFaultSpecParse:

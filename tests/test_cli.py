@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import EXIT_PARTIAL, build_parser, main
 from repro.core.policies import DiskOnlyPolicy
-from repro.core.simulator import ProgramSpec
+from repro.core.workload import ProgramSpec
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import FIGURES, FigureResult
 from repro.experiments.runner import ProgramSet, run_sweep

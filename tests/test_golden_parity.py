@@ -1,7 +1,7 @@
 """Golden parity: the layered session reproduces pre-refactor results.
 
 ``benchmarks/results/golden.json`` pins the :class:`RunResult` numbers
-produced by the monolithic ``ReplaySimulator`` *before* the layered
+produced by the monolithic replay simulator *before* the layered
 decomposition (workload/kernel/device/routing/telemetry behind
 :class:`~repro.core.session.SimulationSession`).  The refactor was
 required to be behaviour-preserving — same seeds, same results — so a

@@ -23,7 +23,7 @@ class TestTopLevelExports:
             DiskOnlyPolicy,
             FlexFetchPolicy,
             ProgramSpec,
-            ReplaySimulator,
+            SimulationSession,
             profile_from_trace,
         )
 
@@ -39,6 +39,13 @@ class TestTopLevelExports:
     def test_paper_constants_exported(self) -> None:
         assert repro.HITACHI_DK23DA.active_power == 2.0
         assert repro.AIRONET_350.cam_idle_power == 1.41
+
+
+class TestRetiredNames:
+    def test_replay_simulator_shim_is_gone(self) -> None:
+        assert not hasattr(repro, "ReplaySimulator")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.simulator")
 
 
 class TestSubpackageImports:
@@ -58,7 +65,8 @@ class TestSubpackageImports:
         "repro.core.decision", "repro.core.estimator",
         "repro.core.flexfetch", "repro.core.oracle",
         "repro.core.policies", "repro.core.profile",
-        "repro.core.simulator",
+        "repro.core.session", "repro.core.system",
+        "repro.core.telemetry", "repro.core.workload",
         "repro.experiments", "repro.experiments.config",
         "repro.experiments.figures", "repro.experiments.report",
         "repro.experiments.runner", "repro.experiments.sensitivity",

@@ -92,11 +92,12 @@ class TestParallelMake:
 
     def test_parallel_trace_replays(self):
         from repro.core.policies import DiskOnlyPolicy
-        from repro.core.simulator import ProgramSpec, ReplaySimulator
+        from repro.core.session import SimulationSession
+        from repro.core.workload import ProgramSpec
         from repro.experiments.validate import validate_run
         trace = generate_make(seed=7, params=MakeParams(jobs=4))
-        result = ReplaySimulator([ProgramSpec(trace)], DiskOnlyPolicy(),
-                                 seed=7).run()
+        result = SimulationSession([ProgramSpec(trace)], DiskOnlyPolicy(),
+                                   seed=7).run()
         assert validate_run(result) == []
 
     def test_deterministic(self):
